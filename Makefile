@@ -91,7 +91,7 @@ smoke-region:
 smoke-trace:
 	sh scripts/trace_smoke.sh
 
-# Records the mega-module solver benchmarks (monolithic dense/sparse vs
+# Records the mega-module solver benchmarks (monolithic dense vs
 # partitioned exact and σ-slack region solves) in BENCH_region.json,
 # including rounds-to-fixpoint; parallel speedup fields are emitted
 # only on a >=4-cpu host.

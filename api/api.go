@@ -23,7 +23,7 @@
 // are served as adapters over the same job layer that backs /v2; the
 // v2 types live in v2.go. Compile options travel as thermflow.Options,
 // whose JSON form names the enums ("policy": "chessboard", "solver":
-// "sparse", ...) and omits defaults; see Options.MarshalJSON in the
+// "region", ...) and omits defaults; see Options.MarshalJSON in the
 // root package. Errors travel as ErrorResponse with the HTTP status
 // conveying the class: 400 malformed request, 401 missing/invalid
 // bearer token, 422 well-formed but unsatisfiable (unknown

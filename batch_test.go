@@ -16,7 +16,7 @@ func TestCompileBatchMatchesSerial(t *testing.T) {
 		{Policy: FirstFree},
 		{Policy: Random, Seed: 3},
 		{Policy: Chessboard},
-		{Policy: FirstFree, Solver: SolverSparse},
+		{Policy: FirstFree, Solver: SolverRegion},
 	}
 	jobs := make([]CompileJob, len(optsList))
 	for i, o := range optsList {

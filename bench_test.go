@@ -234,14 +234,14 @@ func BenchmarkBatchOverlap(b *testing.B) {
 	}
 }
 
-// benchSolver measures one solver on a cold-start analysis of a
-// mid-sized generated program (the regime where sweep counts are
-// large).
-func benchSolver(b *testing.B, solver thermflow.Solver) {
+// BenchmarkSolverDense measures the dense reference solver on a
+// cold-start analysis of a mid-sized generated program (the regime
+// where sweep counts are large).
+func BenchmarkSolverDense(b *testing.B) {
 	p := thermflow.Generate(thermflow.GenerateOptions{
 		Seed: 2, Pressure: 10, Irregularity: 0.2, Segments: 6, LoopDepth: 2,
 	})
-	opts := thermflow.Options{Solver: solver, NoWarmStart: true, MaxIter: 4096}
+	opts := thermflow.Options{Solver: thermflow.SolverDense, NoWarmStart: true, MaxIter: 4096}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -254,13 +254,6 @@ func benchSolver(b *testing.B, solver thermflow.Solver) {
 		}
 	}
 }
-
-// BenchmarkSolverDense measures the dense reference solver.
-func BenchmarkSolverDense(b *testing.B) { benchSolver(b, thermflow.SolverDense) }
-
-// BenchmarkSolverSparse measures the sparse worklist solver on the
-// same input.
-func BenchmarkSolverSparse(b *testing.B) { benchSolver(b, thermflow.SolverSparse) }
 
 // --- region solve plane ---
 
@@ -299,12 +292,6 @@ func benchMegaSolver(b *testing.B, opts thermflow.Options) {
 // mega-module.
 func BenchmarkMegaSolverDense(b *testing.B) {
 	benchMegaSolver(b, thermflow.Options{Solver: thermflow.SolverDense})
-}
-
-// BenchmarkMegaSolverSparse is the monolithic worklist solver on the
-// mega-module — the baseline the region plane is scored against.
-func BenchmarkMegaSolverSparse(b *testing.B) {
-	benchMegaSolver(b, thermflow.Options{Solver: thermflow.SolverSparse})
 }
 
 // BenchmarkMegaSolverRegion is the partitioned exact-mode solve

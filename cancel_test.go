@@ -25,7 +25,7 @@ func slowOpts(solver Solver) Options {
 // promptly with the context's error — not run the remaining sweeps to
 // the fixpoint — for both solvers.
 func TestCompileContextCancelsMidAnalysis(t *testing.T) {
-	for _, solver := range []Solver{SolverDense, SolverSparse} {
+	for _, solver := range []Solver{SolverDense, SolverRegion} {
 		t.Run(solver.String(), func(t *testing.T) {
 			p, err := Kernel("matmul")
 			if err != nil {

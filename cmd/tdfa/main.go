@@ -29,7 +29,7 @@ func main() {
 		delta    = flag.Float64("delta", 0, "convergence threshold δ in kelvin (0 = default)")
 		maxIter  = flag.Int("maxiter", 0, "iteration cap (0 = default)")
 		kappa    = flag.Float64("kappa", 0, "time-acceleration factor κ (0 = default)")
-		solver   = flag.String("solver", "dense", "fixpoint solver: dense (Fig. 2 reference), sparse (worklist) or region (partitioned)")
+		solver   = flag.String("solver", "dense", "fixpoint solver: dense (Fig. 2 reference) or region (partitioned)")
 		regions  = flag.Int("regions", 0, "region-count bound for -solver region (0 = solver default)")
 		regDelta = flag.Float64("region-delta", 0, "extra per-region boundary slack σ in kelvin for -solver region (0 = exact, bit-identical to dense)")
 		mega     = flag.String("mega", "", "generate a mega-module instead of loading one: arms,depth (e.g. 8,2)")

@@ -125,7 +125,7 @@ func TestCompiledCodecRoundTripRandomPrograms(t *testing.T) {
 			opts.GridW, opts.GridH = 4, 4
 		case 3:
 			opts.Policy = thermflow.Coldest
-			opts.Solver = thermflow.SolverSparse
+			opts.Solver = thermflow.SolverRegion
 			opts.WithLeakage = true
 		}
 		return opts

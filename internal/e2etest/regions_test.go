@@ -2,6 +2,7 @@ package e2etest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -156,5 +157,62 @@ func TestRegionJobSlackThroughGateway(t *testing.T) {
 	}
 	if diff > budget {
 		t.Fatalf("slack peak temp off by %g, budget %g", diff, budget)
+	}
+}
+
+// TestRegionJobDefaultSolverAnswersRegionID submits region jobs that
+// leave the solver unset. A region job always solves with the region
+// solver, so it must answer under the ID of the {solver: region} spec
+// with that plain job's result, byte for byte — both when the solve
+// fans out (4 regions) and when a single-region partition falls back to
+// one backend (1 region).
+func TestRegionJobDefaultSolverAnswersRegionID(t *testing.T) {
+	c := NewCluster(t, Options{Backends: 2, Workers: 2})
+	c.WaitRing(t, 2)
+	ctx := context.Background()
+	cl := c.Client()
+
+	prog := thermflow.GenerateMega(thermflow.MegaOptions{
+		Seed: 3, Arms: 4, Depth: 1, OpsPerBlock: 4, Pressure: 8, TripCount: 8,
+	})
+	src := prog.Fn.String()
+	for _, regions := range []int{4, 1} {
+		regionOpts := thermflow.Options{Solver: thermflow.SolverRegion, Regions: regions}
+		spec, err := thermflow.JobSpecFromSource(src, "", regionOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := spec.ID()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		fanned, err := cl.RunJob(ctx, api.JobRequest{
+			Kind: "region", Program: src, Options: thermflow.Options{Regions: regions},
+		})
+		if err != nil {
+			t.Fatalf("regions=%d: region job: %v", regions, err)
+		}
+		if fanned.State != "done" || fanned.Result == nil {
+			t.Fatalf("regions=%d: region job not done: state=%s err=%s", regions, fanned.State, fanned.Error)
+		}
+		if fanned.ID != want {
+			t.Fatalf("regions=%d: region job answered under ID %s, want the region spec's %s", regions, fanned.ID, want)
+		}
+
+		whole, err := cl.RunJob(ctx, api.JobRequest{Program: src, Options: regionOpts})
+		if err != nil {
+			t.Fatalf("regions=%d: plain job: %v", regions, err)
+		}
+		if whole.State != "done" || whole.Result == nil {
+			t.Fatalf("regions=%d: plain job not done: state=%s err=%s", regions, whole.State, whole.Error)
+		}
+		fanned.Result.Cached = false
+		whole.Result.Cached = false
+		fb, _ := json.Marshal(fanned.Result)
+		wb, _ := json.Marshal(whole.Result)
+		if !bytes.Equal(fb, wb) {
+			t.Fatalf("regions=%d: region job result differs from the plain job's:\n%s\nvs\n%s", regions, fb, wb)
+		}
 	}
 }

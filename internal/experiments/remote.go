@@ -40,7 +40,7 @@ func RemoteResetCache(addr string) error {
 }
 
 // Remote runs the standard sweep matrix — every kernel × every policy,
-// plus the sparse solver and two reduced register-file sizes per
+// plus the region solver and two reduced register-file sizes per
 // kernel — against a running thermflowd server instead of an
 // in-process engine, streaming results as the server finishes them.
 // Two processes pointed at the same server share one result cache, so
@@ -75,7 +75,7 @@ func Remote(cfg Config, addr string) (*RemoteResult, error) {
 		}
 		jobs = append(jobs, api.CompileRequest{
 			Kernel:  k.Name,
-			Options: thermflow.Options{Solver: thermflow.SolverSparse},
+			Options: thermflow.Options{Solver: thermflow.SolverRegion},
 		})
 		if !cfg.Quick {
 			for _, regs := range []int{16, 32} {

@@ -533,7 +533,7 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	case "region":
 		// Region jobs are coordinated by the gateway itself: the
 		// fixpoint fans out across the pool (regions.go).
-		g.handleRegionJob(w, r, req, body)
+		g.handleRegionJob(w, r, req)
 		return
 	default:
 		server.WriteErr(w, http.StatusUnprocessableEntity, "unknown job kind %q", req.Kind)

@@ -576,6 +576,7 @@ func TestGatewayBatchValidation(t *testing.T) {
 		{`{"jobs":[]}`, http.StatusUnprocessableEntity},
 		{`{"jobs":[{"kernel":"no-such-kernel"}]}`, http.StatusUnprocessableEntity},
 		{`{"jobs":[{"kernel":"dot","options":{"policy":"bogus"}}]}`, http.StatusUnprocessableEntity},
+		{`{"jobs":[{"kernel":"dot","options":{"solver":"sparse"}}]}`, http.StatusUnprocessableEntity},
 		{`{not json`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v2/batch", "application/json", strings.NewReader(tc.body))

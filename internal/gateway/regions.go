@@ -48,7 +48,12 @@ var errRegionRestart = fmt.Errorf("gateway: backend session restarted")
 // with a terminal JobStatus, mirroring what a backend returns for a
 // completed v2 job. The gateway stays stateless across requests: every
 // coordinator artifact lives in this request's frame.
-func (g *Gateway) handleRegionJob(w http.ResponseWriter, r *http.Request, req api.JobRequest, body []byte) {
+func (g *Gateway) handleRegionJob(w http.ResponseWriter, r *http.Request, req api.JobRequest) {
+	// A region job always solves with the region solver, so its
+	// identity (and the single-region fallback's request) must name it:
+	// under the submitted solver's ID it would answer a different
+	// result than the plain job that ID belongs to.
+	req.Options.Solver = thermflow.SolverRegion
 	spec, err := server.ResolveSpec(req)
 	if err != nil {
 		server.WriteErr(w, http.StatusUnprocessableEntity, "%v", err)
@@ -83,6 +88,11 @@ func (g *Gateway) handleRegionJob(w http.ResponseWriter, r *http.Request, req ap
 			// Nothing to fan out — a single-region partition solves
 			// exactly like a plain job, so route it as one (backends
 			// ignore the kind field).
+			body, err := json.Marshal(req)
+			if err != nil {
+				server.WriteErr(w, http.StatusUnprocessableEntity, "encoding request: %v", err)
+				return
+			}
 			g.forwardRelay(w, r, id, http.MethodPost, "/v2/jobs", body,
 				func(w http.ResponseWriter, resp *http.Response, served string) {
 					g.relayAndReplicate(w, r, resp, served)

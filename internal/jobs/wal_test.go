@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -420,5 +422,47 @@ func TestReplayRestoresOwnerAccounting(t *testing.T) {
 	// The cap is acme's alone: another tenant enters freely.
 	if _, _, err := r2.SubmitLimited(heavySpec(t, 21), Limits{Owner: "rival", MaxQueued: 2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A queued job whose persisted spec no longer decodes — here it names
+// the "sparse" solver, which this engine does not know — replays as a
+// failed job wrapping ErrInterrupted: it neither panics the replay nor
+// vanishes from the registry.
+func TestReplayFailsUndecodableQueuedSpec(t *testing.T) {
+	dirs := newDurableDirs(t)
+	spec, err := json.Marshal(kernelSpec(t, "dot", thermflow.Options{Solver: thermflow.SolverRegion}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := bytes.Replace(spec, []byte(`"solver":"region"`), []byte(`"solver":"sparse"`), 1)
+	if bytes.Equal(stale, spec) {
+		t.Fatalf("spec wire form does not name its solver: %s", spec)
+	}
+	payload, err := json.Marshal(persistedJob{
+		ID: "stale-solver", Spec: stale, State: StateQueued, SubmittedNS: time.Now().UnixNano(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := joblog.Open(dirs.log, joblog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recSubmit, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, l2 := dirs.open(t, Config{})
+	defer crash(r, l2)
+	snap, err := r.Get("stale-solver")
+	if err != nil {
+		t.Fatalf("undecodable job vanished across restart: %v", err)
+	}
+	if snap.State != StateFailed || !errors.Is(snap.Err, ErrInterrupted) {
+		t.Fatalf("replayed undecodable job: state %s, err %v; want failed with ErrInterrupted", snap.State, snap.Err)
 	}
 }

@@ -54,6 +54,7 @@ func TestUnknownNamesAre422(t *testing.T) {
 	cases := []struct{ name, body string }{
 		{"policy", `{"kernel":"matmul","options":{"policy":"hottest-first"}}`},
 		{"solver", `{"kernel":"matmul","options":{"solver":"quantum"}}`},
+		{"removed solver", `{"kernel":"matmul","options":{"solver":"sparse"}}`},
 		{"layout", `{"kernel":"matmul","options":{"layout":"spiral"}}`},
 		{"join", `{"kernel":"matmul","options":{"join":"min"}}`},
 		{"kernel", `{"kernel":"no-such-kernel"}`},
@@ -70,6 +71,11 @@ func TestUnknownNamesAre422(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body %q not an ErrorResponse", tc.name, body)
 		}
+	}
+
+	// The v2 job surface decodes options the same way.
+	if status, body := post(t, ts.URL+"/v2/jobs", `{"kernel":"matmul","options":{"solver":"sparse"}}`); status != http.StatusUnprocessableEntity {
+		t.Errorf("v2 removed solver: status = %d, want 422 (body %s)", status, body)
 	}
 
 	// The same validation guards the batch endpoint, before the stream

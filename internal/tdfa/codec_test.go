@@ -56,7 +56,7 @@ func TestResultCodecRoundTripRandomPrograms(t *testing.T) {
 		}
 		cfg := Config{Alloc: a}
 		if seed%3 == 0 {
-			cfg.Solver = SolverSparse
+			cfg.Solver = SolverRegion
 		}
 		if seed%4 == 0 {
 			cfg.WithLeakage = true

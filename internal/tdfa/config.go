@@ -60,17 +60,9 @@ type Solver int
 const (
 	// SolverDense is the paper-faithful Fig. 2 iteration: every sweep
 	// re-evaluates every instruction of the procedure. It is the
-	// reference implementation the sparse solver is differentially
+	// reference implementation the region solver is differentially
 	// tested against.
 	SolverDense Solver = iota
-	// SolverSparse is a sparse worklist variant: after the warm start,
-	// only blocks whose in-state still moves are re-swept. Blocks are
-	// processed in reverse-postorder; a block whose out-state moved
-	// beyond a fraction of δ re-activates its successors (and, for
-	// returning blocks, the entry — the sustained-execution
-	// wrap-around). Scratch buffers are reused, so steady-state waves
-	// allocate nothing.
-	SolverSparse
 	// SolverRegion partitions the CFG into regions along loop-nest
 	// boundaries (internal/regions) and solves them in parallel. With
 	// zero RegionSlack it schedules regions as a DAG inside each sweep
@@ -86,21 +78,17 @@ func (s Solver) String() string {
 	switch s {
 	case SolverDense:
 		return "dense"
-	case SolverSparse:
-		return "sparse"
 	case SolverRegion:
 		return "region"
 	}
 	return fmt.Sprintf("solver(%d)", int(s))
 }
 
-// SolverByName resolves a solver name ("dense", "sparse", "region").
+// SolverByName resolves a solver name ("dense", "region").
 func SolverByName(name string) (Solver, bool) {
 	switch name {
 	case "dense":
 		return SolverDense, true
-	case "sparse":
-		return SolverSparse, true
 	case "region":
 		return SolverRegion, true
 	}

@@ -23,10 +23,10 @@
 // iteration cap, time-acceleration factor κ, join operator, leakage,
 // profile-guided frequencies, warm start). Two fixpoint solvers share
 // the same transfer function: SolverDense is the paper-faithful
-// whole-procedure sweep and the reference; SolverSparse is an
-// allocation-free worklist variant that re-sweeps only blocks whose
-// in-state still moves, differentially tested to stay within δ of the
-// reference per instruction (properties_test.go at the repo root).
+// whole-procedure sweep and the reference; SolverRegion partitions the
+// CFG along loop nests and, in exact mode, reproduces the reference
+// bit for bit (TestRegionDenseDifferential in properties_test.go at
+// the repo root).
 //
 // The Result carries the per-instruction states, per-register peaks,
 // convergence diagnostics and the critical-variable ranking the

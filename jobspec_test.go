@@ -15,7 +15,7 @@ func specVariants() []Options {
 	return []Options{
 		{},
 		{Policy: Chessboard, NumRegs: 16},
-		{Policy: Random, Seed: 42, Solver: SolverSparse},
+		{Policy: Random, Seed: 42, Solver: SolverRegion},
 		{Policy: Coldest, HeatSeed: []float64{300, 310.5, 295.25}},
 		{GridW: 4, GridH: 4, NumRegs: 16, MaxIter: 128, Delta: 0.01},
 		{Tech: power.Default65nm(), Kappa: 12.5, WithLeakage: true},
@@ -124,8 +124,8 @@ func TestJobSpecIDStableUnderFieldReorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := json.Marshal(p.Fn.String())
-	a := []byte(`{"v":2,"source":` + string(src) + `,"options":{"num_regs":16,"policy":"chessboard","solver":"sparse"}}`)
-	b := []byte(`{"options":{"solver":"sparse","num_regs":16,"policy":"chessboard"},"source":` + string(src) + `,"v":2}`)
+	a := []byte(`{"v":2,"source":` + string(src) + `,"options":{"num_regs":16,"policy":"chessboard","solver":"region"}}`)
+	b := []byte(`{"options":{"solver":"region","num_regs":16,"policy":"chessboard"},"source":` + string(src) + `,"v":2}`)
 	var sa, sb JobSpec
 	if err := json.Unmarshal(a, &sa); err != nil {
 		t.Fatal(err)

@@ -16,13 +16,13 @@ import (
 func TestOptionsJSONRoundTrip(t *testing.T) {
 	cases := []Options{
 		{},
-		{Policy: Chessboard, Solver: SolverSparse},
+		{Policy: Chessboard, Solver: SolverRegion},
 		{
 			NumRegs: 16, Policy: Coldest, Seed: 42,
 			HeatSeed: []float64{1, 2, 3},
 			GridW:    4, GridH: 4, Layout: floorplan.Checker,
 			Tech:   power.Default65nm(),
-			Solver: SolverSparse, Delta: 0.01, MaxIter: 128,
+			Solver: SolverRegion, Delta: 0.01, MaxIter: 128,
 			Kappa: 1e4, JoinOp: tdfa.JoinMax,
 			WithLeakage: true, NoWarmStart: true,
 			DefaultTrip: 5, SkipAnalysis: true,
@@ -54,11 +54,11 @@ func TestOptionsJSONZeroIsEmpty(t *testing.T) {
 }
 
 func TestOptionsJSONNamesEnums(t *testing.T) {
-	buf, err := json.Marshal(Options{Policy: SpreadMax, Solver: SolverSparse, JoinOp: tdfa.JoinMax, Layout: floorplan.Banked})
+	buf, err := json.Marshal(Options{Policy: SpreadMax, Solver: SolverRegion, JoinOp: tdfa.JoinMax, Layout: floorplan.Banked})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"policy":"spread-max"`, `"solver":"sparse"`, `"join":"max"`, `"layout":"banked"`} {
+	for _, want := range []string{`"policy":"spread-max"`, `"solver":"region"`, `"join":"max"`, `"layout":"banked"`} {
 		if !strings.Contains(string(buf), want) {
 			t.Errorf("marshal = %s, missing %s", buf, want)
 		}
@@ -69,6 +69,7 @@ func TestOptionsJSONUnknownNames(t *testing.T) {
 	cases := []struct{ body, kind string }{
 		{`{"policy":"hottest"}`, "policy"},
 		{`{"solver":"magic"}`, "solver"},
+		{`{"solver":"sparse"}`, "solver"},
 		{`{"layout":"spiral"}`, "layout"},
 		{`{"join":"min"}`, "join"},
 	}

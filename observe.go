@@ -6,7 +6,7 @@ import (
 )
 
 // SolverObserver receives one callback per thermal-analysis fixpoint
-// run: the solver's name ("dense", "sparse"), the wall-clock seconds
+// run: the solver's name ("dense", "region"), the wall-clock seconds
 // the fixpoint took, and whether it converged within its sweep budget.
 // Observers run on the compiling goroutine and must be fast and safe
 // for concurrent use; they observe solver runs, never results.

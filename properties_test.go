@@ -204,103 +204,6 @@ func TestProfileGuidedConsistency(t *testing.T) {
 	}
 }
 
-// Differential property: the sparse worklist solver must match the
-// dense reference solver within δ per instruction on a broad corpus of
-// seeded random programs and on every built-in kernel, with equal
-// convergence verdicts and consistent hot-spot rankings.
-func TestSparseDenseDifferential(t *testing.T) {
-	check := func(t *testing.T, name string, p *Program, opts Options) {
-		t.Helper()
-		dense := opts
-		dense.Solver = SolverDense
-		sparse := opts
-		sparse.Solver = SolverSparse
-		cd, err := p.Compile(dense)
-		if err != nil {
-			t.Fatalf("%s dense: %v", name, err)
-		}
-		cs, err := p.Compile(sparse)
-		if err != nil {
-			t.Fatalf("%s sparse: %v", name, err)
-		}
-		delta := opts.Delta
-		if delta <= 0 {
-			delta = 0.05
-		}
-		if cd.Thermal.Converged != cs.Thermal.Converged {
-			t.Errorf("%s: convergence mismatch dense=%v sparse=%v",
-				name, cd.Thermal.Converged, cs.Thermal.Converged)
-		}
-		for i := range cd.Thermal.InstrState {
-			if d := cd.Thermal.InstrState[i].MaxDelta(cs.Thermal.InstrState[i]); d > delta {
-				t.Fatalf("%s: instruction %d differs by %g K (δ=%g)", name, i, d, delta)
-			}
-		}
-		if d := cd.Thermal.PeakTemp - cs.Thermal.PeakTemp; d > delta || d < -delta {
-			t.Errorf("%s: peaks differ: dense=%g sparse=%g", name, cd.Thermal.PeakTemp, cs.Thermal.PeakTemp)
-		}
-		// Hot-spot rankings must agree up to δ-ties: every register the
-		// two solvers rank at the same position must have peaks within δ
-		// of each other.
-		hd, hs := cd.Thermal.HottestRegs(4), cs.Thermal.HottestRegs(4)
-		for i := range hd {
-			td, ts := cd.Thermal.RegPeak[hd[i]], cs.Thermal.RegPeak[hs[i]]
-			if d := td - ts; d > delta || d < -delta {
-				t.Errorf("%s: hot-spot rank %d differs beyond δ: reg %d (%.3f K) vs reg %d (%.3f K)",
-					name, i, hd[i], td, hs[i], ts)
-			}
-		}
-		// Critical-variable ranking: the top entry must agree, or tie
-		// within 1% of its score.
-		critD, critS := cd.Thermal.TopCritical(1), cs.Thermal.TopCritical(1)
-		if len(critD) != len(critS) {
-			t.Fatalf("%s: critical ranking lengths differ", name)
-		}
-		if len(critD) == 1 && critD[0].Value.Name != critS[0].Value.Name {
-			rel := critD[0].Score - critS[0].Score
-			if rel < 0 {
-				rel = -rel
-			}
-			if critD[0].Score > 0 && rel/critD[0].Score > 0.01 {
-				t.Errorf("%s: top critical variable differs: %s (%.3g) vs %s (%.3g)",
-					name, critD[0].Value.Name, critD[0].Score, critS[0].Value.Name, critS[0].Score)
-			}
-		}
-	}
-
-	// 50+ seeded random programs spanning regular to highly irregular
-	// shapes, different joins, leakage, and cold starts.
-	for seed := int64(0); seed < 50; seed++ {
-		opts := Options{Policy: Policies[int(seed)%len(Policies)], Seed: seed}
-		switch seed % 5 {
-		case 1:
-			opts.JoinOp = tdfa.JoinUnweighted
-		case 2:
-			opts.JoinOp = tdfa.JoinMax
-		case 3:
-			opts.WithLeakage = true
-		case 4:
-			opts.NoWarmStart = true
-			opts.MaxIter = 4096
-		}
-		p := Generate(GenerateOptions{
-			Seed:         seed,
-			Pressure:     6 + int(seed)%12,
-			Segments:     2 + int(seed)%4,
-			LoopDepth:    1 + int(seed)%3,
-			Irregularity: float64(seed%10) / 10,
-		})
-		check(t, fmt.Sprintf("gen-seed-%d", seed), p, opts)
-	}
-	for _, name := range Kernels() {
-		p, err := Kernel(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "kernel-"+name, p, Options{})
-	}
-}
-
 // Differential property: at σ=0 the region-partitioned solver is not
 // an approximation — its wave schedule replays the dense solver's read
 // pattern exactly, so every analysis output must be bit-identical to

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Runs the batch-engine and solver benchmarks and records the results
 # in BENCH_batch.json: per-benchmark ns/op plus derived speedups
-# (8-worker vs serial batch, warm cache vs cold, sparse vs dense
-# solver) and the host's CPU budget for context.
+# (8-worker vs serial batch, warm cache vs cold) and the host's CPU
+# budget for context.
 #
 # Provenance: the report always records the host cpu count and
 # GOMAXPROCS. On a single-cpu host the worker-scaling "speedup" fields
@@ -22,7 +22,7 @@ cpus="$(nproc 2>/dev/null || echo 1)"
 gomaxprocs="${GOMAXPROCS:-$cpus}"
 
 go test . -run '^$' \
-	-bench 'BenchmarkCompileBatch|BenchmarkBatchOverlap|BenchmarkSolverDense|BenchmarkSolverSparse' \
+	-bench 'BenchmarkCompileBatch|BenchmarkBatchOverlap|BenchmarkSolverDense' \
 	-benchmem -count 1 -timeout 20m | tee "$raw"
 
 awk -v cpus="$cpus" -v gomaxprocs="$gomaxprocs" '
@@ -54,18 +54,14 @@ END {
 	o8 = ns["BenchmarkBatchOverlap/workers=8"]
 	cold = ns["BenchmarkCompileBatch/workers=8"]
 	warm = ns["BenchmarkCompileBatchCached"]
-	sd = ns["BenchmarkSolverDense"]
-	ss = ns["BenchmarkSolverSparse"]
 	if (cpus >= 2) {
 		printf "  \"speedup_compile_8_workers_vs_serial\": %.2f,\n", (b8 > 0 ? b1 / b8 : 0)
 		printf "  \"speedup_overlap_8_workers_vs_serial\": %.2f,\n", (o8 > 0 ? o1 / o8 : 0)
 	} else {
 		printf "  \"worker_speedups_omitted\": \"single-cpu host: worker scaling is unmeasurable; re-run on a multi-core machine\",\n"
 	}
-	# Cache warmth and solver choice are per-core effects — valid on
-	# any host.
-	printf "  \"speedup_warm_cache_vs_cold\": %.2f,\n", (warm > 0 ? cold / warm : 0)
-	printf "  \"speedup_sparse_vs_dense_solver\": %.2f\n", (ss > 0 ? sd / ss : 0)
+	# Cache warmth is a per-core effect — valid on any host.
+	printf "  \"speedup_warm_cache_vs_cold\": %.2f\n", (warm > 0 ? cold / warm : 0)
 	printf "}\n"
 }' "$raw" > "$out"
 

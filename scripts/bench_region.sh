@@ -1,10 +1,10 @@
 #!/bin/sh
 # Runs the mega-module solver benchmarks and records the region solve
 # plane's scorecard in BENCH_region.json: per-benchmark ns/op and
-# rounds-to-fixpoint for the monolithic dense reference, the monolithic
-# sparse worklist, the partitioned exact-mode solve and the partitioned
-# σ-slack Jacobi solve, plus the derived region-vs-monolithic speedups
-# and the host's CPU budget for context.
+# rounds-to-fixpoint for the monolithic dense reference, the partitioned
+# exact-mode solve and the partitioned σ-slack Jacobi solve, plus the
+# derived region-vs-dense speedups and the host's CPU budget for
+# context.
 #
 # Provenance: the report always records the host cpu count and
 # GOMAXPROCS, and always records rounds-to-fixpoint (a per-core-valid
@@ -55,21 +55,18 @@ END {
 	}
 	printf "  ],\n"
 	sd = ns["BenchmarkMegaSolverDense"]
-	ss = ns["BenchmarkMegaSolverSparse"]
 	rx = ns["BenchmarkMegaSolverRegion"]
 	rs = ns["BenchmarkMegaSolverRegionSlack"]
 	# Rounds are an algorithmic fact, valid on any host: exact mode
 	# matches dense sweep for sweep; slack mode converges in far fewer
 	# exchange rounds.
 	printf "  \"rounds_monolithic_dense\": %s,\n", rounds["BenchmarkMegaSolverDense"]
-	printf "  \"rounds_monolithic_sparse\": %s,\n", rounds["BenchmarkMegaSolverSparse"]
 	printf "  \"rounds_region_exact\": %s,\n", rounds["BenchmarkMegaSolverRegion"]
 	printf "  \"rounds_region_slack\": %s,\n", rounds["BenchmarkMegaSolverRegionSlack"]
 	if (cpus >= 4) {
 		printf "  \"workers\": %d,\n", gomaxprocs
-		printf "  \"speedup_region_vs_monolithic_sparse\": %.2f,\n", (rx > 0 ? ss / rx : 0)
 		printf "  \"speedup_region_vs_monolithic_dense\": %.2f,\n", (rx > 0 ? sd / rx : 0)
-		printf "  \"speedup_region_slack_vs_monolithic_sparse\": %.2f\n", (rs > 0 ? ss / rs : 0)
+		printf "  \"speedup_region_slack_vs_monolithic_dense\": %.2f\n", (rs > 0 ? sd / rs : 0)
 	} else {
 		printf "  \"region_speedups_omitted\": \"host has %d cpu(s): DAG-wave parallelism is unmeasurable; re-run on a >=4-core machine\"\n", cpus
 	}

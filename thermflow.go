@@ -69,11 +69,10 @@ type Solver = tdfa.Solver
 // Fixpoint solvers.
 const (
 	SolverDense  = tdfa.SolverDense
-	SolverSparse = tdfa.SolverSparse
 	SolverRegion = tdfa.SolverRegion
 )
 
-// SolverByName resolves a solver name ("dense", "sparse", "region").
+// SolverByName resolves a solver name ("dense", "region").
 func SolverByName(name string) (Solver, bool) { return tdfa.SolverByName(name) }
 
 // PolicyByName resolves a policy name ("first-free", "random",
@@ -190,10 +189,9 @@ type Options struct {
 	Tech power.Tech
 
 	// Solver selects the analysis fixpoint solver (default
-	// SolverDense, the paper-faithful Fig. 2 iteration; SolverSparse
-	// is the worklist variant differentially tested against it;
-	// SolverRegion partitions the CFG into regions and solves them in
-	// parallel — byte-identical to dense when RegionDelta is 0).
+	// SolverDense, the paper-faithful Fig. 2 iteration; SolverRegion
+	// partitions the CFG into regions and solves them in parallel —
+	// byte-identical to dense when RegionDelta is 0).
 	Solver Solver
 	// Regions bounds the region count for SolverRegion (0 = the
 	// solver's default). Part of the result identity: the partition
