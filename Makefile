@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-serve bench-persist bench-load bench-region serve smoke smoke-persist smoke-jobs smoke-gateway smoke-durable smoke-load smoke-quota smoke-region smoke-trace fuzz fmt vet ci
+.PHONY: build test bench bench-serve bench-persist bench-load bench-region serve smoke smoke-persist smoke-jobs smoke-gateway smoke-durable smoke-load smoke-quota smoke-trace fuzz fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -74,20 +74,12 @@ smoke-load bench-load:
 smoke-quota:
 	sh scripts/quota_smoke.sh
 
-# Starts 2 thermflowd backends + 1 thermflowgate, submits a mega-module
-# as a kind:"region" job, and asserts the gateway fanned per-region
-# fixpoint steps out to both backends and that the merged result is
-# field-for-field identical to the same spec solved whole on one
-# backend (the CI region smoke step).
-smoke-region:
-	sh scripts/region_smoke.sh
-
 # Starts two backends behind a gateway and asserts the tracing plane
-# end to end over real processes: a client-minted X-Thermflow-Trace
-# propagates through the gateway to both backends, a region job answers
-# one stitched timeline with region.solve spans from two distinct
-# backends, and a thermload sweep's reported slowest trace resolves to
-# its job timeline (the CI trace smoke step).
+# end to end over real processes: a job submitted under a client-minted
+# X-Thermflow-Trace answers one timeline through the gateway holding
+# the gateway's http.server spans and the backend's job.* spans under
+# that trace ID, and a thermload sweep's reported slowest trace
+# resolves to its job timeline (the CI trace smoke step).
 smoke-trace:
 	sh scripts/trace_smoke.sh
 

@@ -24,12 +24,11 @@ import "thermflow"
 // set; the server canonicalizes either into the job's content identity,
 // so a kernel reference and its printed IR are the same job.
 type JobRequest struct {
-	// Kind selects the execution plane: "" (or "compile") runs the job
-	// on one backend; "region" asks a gateway to cut the program into
-	// CFG regions and fan the fixpoint out across the backend pool,
-	// exchanging only boundary thermal states between rounds (see
-	// regions.go). Backends ignore the field — a region job reaching a
-	// backend directly just compiles whole. Not part of job identity.
+	// Kind is "" or "compile" for a plain job. "region" is an alias
+	// that sets Options.Solver to "region": gateways and backends
+	// resolve it alike, so the job answers under the {solver: "region"}
+	// spec's ID with that job's result. Any other kind is a 422. Not
+	// part of job identity beyond the solver it implies.
 	Kind string `json:"kind,omitempty"`
 	// Kernel selects a built-in benchmark kernel by name.
 	Kernel string `json:"kernel,omitempty"`

@@ -15,9 +15,10 @@
 //	           [-job-log-dir DIR] [-job-snapshot-every 512]
 //	           [-debug-addr ""]
 //
-// The result cache is a two-tier store: an in-memory LRU tier capped
-// at -cache-max-bytes, and (with -cache-dir) a persistent on-disk tier
-// capped at -cache-disk-max-bytes. The disk tier is content-addressed
+// The result cache is a two-tier store of rendered answers (the compile
+// response, a few KiB each, never the full compilation): an in-memory
+// LRU tier capped at -cache-max-bytes, and (with -cache-dir) a
+// persistent on-disk tier capped at -cache-disk-max-bytes. The disk tier is content-addressed
 // by the same hash as the memory tier — and, since v2, the same hash
 // as the job IDs the /v2 endpoints hand out — so a restarted
 // thermflowd pointed at the same directory comes back warm.
@@ -90,7 +91,6 @@ import (
 	"syscall"
 	"time"
 
-	"thermflow"
 	"thermflow/internal/joblog"
 	"thermflow/internal/jobs"
 	"thermflow/internal/server"
@@ -122,7 +122,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "pprof+metrics debug listener; loopback only, never public (empty = off)")
 	flag.Parse()
 
-	b, err := thermflow.NewBatchConfig(thermflow.BatchConfig{
+	eng, err := jobs.OpenEngine(jobs.EngineConfig{
 		Workers:        *workers,
 		CacheMemBytes:  *cacheMemBytes,
 		CacheDir:       *cacheDir,
@@ -133,7 +133,7 @@ func main() {
 		log.Fatalf("thermflowd: %v", err)
 	}
 	if *cacheDir != "" {
-		st := b.Stats()
+		st := eng.Stats()
 		log.Printf("thermflowd: disk cache at %s (%d entries, %d bytes warm)",
 			*cacheDir, st.Disk.Entries, st.Disk.Bytes)
 	}
@@ -164,7 +164,7 @@ func main() {
 
 	metrics := server.NewMetrics()
 	tr := trace.NewRecorder("thermflowd", 0, 0)
-	s := server.NewConfig(b, server.Config{
+	s := server.NewConfig(eng, server.Config{
 		Jobs: jobsCfg, Replicas: replicas, Metrics: metrics, Trace: tr,
 	})
 	defer s.Close()
@@ -254,7 +254,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("thermflowd: listening on %s (%d workers)", *addr, b.Workers())
+	log.Printf("thermflowd: listening on %s (%d workers)", *addr, eng.Workers())
 
 	select {
 	case err := <-errc:

@@ -24,10 +24,14 @@
 // file), per-client rate limiting, body and deadline caps.
 //
 // Tracing: the gateway propagates the sanitized X-Thermflow-Trace
-// context to every backend it proxies to, records region-coordination
-// spans of its own, stitches the per-round spans each backend returns
-// into one timeline, and serves the result at GET /v2/jobs/{id}/trace
-// (falling through to the owning backend for plain sharded jobs).
+// context to every backend it proxies to and answers GET
+// /v2/jobs/{id}/trace with the owning backend's timeline, its own edge
+// spans merged in.
+//
+// Region jobs ("kind":"region", an alias for "solver":"region") are
+// routed like any other job: the whole partitioned solve runs on the
+// job's owner, since fanning its exchange rounds out across the pool
+// never beat one backend.
 //
 // -debug-addr starts a second listener serving net/http/pprof under
 // /debug/pprof/ plus /metrics. It has no auth and exposes process
@@ -133,8 +137,8 @@ func main() {
 	// The same chain thermflowd wires, in the same order: identity,
 	// tracing and logging outermost, auth before rate limiting so bucket
 	// keys are authenticated tenants, then the body and deadline caps.
-	// Tracing shares the gateway's recorder so edge spans land in the
-	// same timelines as the coordination spans it stitches.
+	// Tracing shares the gateway's recorder so its edge spans are there
+	// to merge into the backends' job timelines.
 	mw := []server.Middleware{
 		server.WithRequestID(),
 		server.WithTracing(tr),

@@ -12,15 +12,15 @@ import (
 	"thermflow/internal/tdfa"
 )
 
-// This file is the durable form of a compilation result: the payload
-// the batch engine's disk tier stores under the content hash, and the
-// piece that makes a restarted thermflowd come back warm. A Compiled
-// is rebuilt from first principles — options through their JSON codec,
-// functions through the textual IR (print → parse round-trips blocks
-// and instruction IDs, which the thermal states are indexed by), the
-// register assignment by value name (value IDs do not survive a
-// reparse; names do), and the full tdfa.Result through its binary
-// codec.
+// This file is the durable form of a full compilation result, for
+// callers that persist or ship compilations themselves (thermflowd
+// does not: its result store holds only the rendered wire answer). A
+// Compiled is rebuilt from first principles — options through their
+// JSON codec, functions through the textual IR (print → parse
+// round-trips blocks and instruction IDs, which the thermal states are
+// indexed by), the register assignment by value name (value IDs do not
+// survive a reparse; names do), and the full tdfa.Result through its
+// binary codec.
 //
 // Not everything can be durable: Setup/Expect hooks are function
 // values. A Program carrying hooks is only encodable when it also
@@ -32,8 +32,8 @@ import (
 // it and the result stays memory-only.
 
 // compiledCodecVersion versions the EncodeCompiled layout. Bump it on
-// any change: stale disk entries then fail to decode, count as
-// corrupt, and are deleted — a clean format migration.
+// any change: bytes in an older layout then fail to decode instead of
+// decoding wrong.
 const compiledCodecVersion = 1
 
 // EncodeCompiled renders c durable. It returns cachestore.ErrUnencodable
@@ -229,44 +229,4 @@ func decodedProgram(key string, fn *ir.Function) *Program {
 		}
 	}
 	return &Program{Fn: fn, Key: key}
-}
-
-// compiledCodec adapts the Compiled codec to the cache store. Anything
-// that is not a *Compiled — in particular the batch layer's cached
-// failures — is unencodable and stays memory-only.
-type compiledCodec struct{}
-
-func (compiledCodec) Encode(v any) ([]byte, error) {
-	c, ok := v.(*Compiled)
-	if !ok {
-		return nil, cachestore.ErrUnencodable
-	}
-	return EncodeCompiled(c)
-}
-
-func (compiledCodec) Decode(data []byte) (any, error) {
-	return DecodeCompiled(data)
-}
-
-// compiledSize estimates a cache entry's resident footprint for the
-// memory tier's byte cap. Thermal states dominate: one float64 per
-// grid cell per program point, across instruction and block states.
-func compiledSize(v any) int64 {
-	c, ok := v.(*Compiled)
-	if !ok {
-		return 512 // cached failures and other small residue
-	}
-	const perInstr = 160 // rough IR + assignment cost per instruction
-	size := int64(2048)
-	if c.Alloc != nil && c.Alloc.Fn != nil {
-		size += int64(c.Alloc.Fn.NumInstrs()) * perInstr
-	}
-	if t := c.Thermal; t != nil {
-		cells := int64(len(t.Peak))
-		states := int64(len(t.InstrState)+len(t.BlockIn)) + 2
-		size += states * (cells*8 + 32)
-		size += int64(len(t.RegPeak)+len(t.DeltaHistory)) * 8
-		size += int64(len(t.Critical)) * 64
-	}
-	return size
 }

@@ -1,6 +1,7 @@
 package cachestore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -182,6 +183,14 @@ func TestCorruptDiskEntriesAreDroppedAsMisses(t *testing.T) {
 				return err
 			}
 			copy(data, "NOPE")
+			return os.WriteFile(p, data, 0o666)
+		}},
+		{"previous format version", func(p string) error {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				return err
+			}
+			binary.LittleEndian.PutUint32(data[4:8], diskFormatVersion-1)
 			return os.WriteFile(p, data, 0o666)
 		}},
 		{"future format version", func(p string) error {

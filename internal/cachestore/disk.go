@@ -30,9 +30,11 @@ import (
 // and a crash leaves at most a tmp file (swept at Open). Bumping
 // diskFormatVersion invalidates every existing entry cleanly: old
 // files fail the header check, count as corrupt, and are deleted.
+// Version 2 marks the switch of thermflowd's payloads from binary
+// compilations to JSON wire answers.
 const (
 	diskMagic         = "TFCS"
-	diskFormatVersion = 1
+	diskFormatVersion = 2
 	diskHeaderSize    = 20
 	entrySuffix       = ".tfc"
 	tmpPrefix         = "tfc-tmp-"

@@ -25,7 +25,6 @@ import (
 	"testing"
 	"time"
 
-	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
 	"thermflow/internal/gateway"
@@ -74,7 +73,6 @@ type Backend struct {
 
 	mu      sync.Mutex
 	alive   bool
-	batch   *thermflow.Batch
 	srv     *server.Server
 	metrics *server.Metrics
 	httpSrv *http.Server
@@ -145,7 +143,7 @@ func (b *Backend) start() error {
 		return fmt.Errorf("backend already running")
 	}
 
-	batch, err := thermflow.NewBatchConfig(thermflow.BatchConfig{
+	eng, err := jobs.OpenEngine(jobs.EngineConfig{
 		Workers:  b.c.opts.Workers,
 		CacheDir: filepath.Join(b.Dir, "cache"),
 	})
@@ -171,7 +169,7 @@ func (b *Backend) start() error {
 
 	metrics := server.NewMetrics()
 	tr := trace.NewRecorder("thermflowd", 0, 0)
-	srv := server.NewConfig(batch, server.Config{
+	srv := server.NewConfig(eng, server.Config{
 		Jobs:     jobsCfg,
 		Replicas: server.NewReplicaStore(0, rl, &rrec),
 		Metrics:  metrics,
@@ -215,7 +213,7 @@ func (b *Backend) start() error {
 	httpSrv := &http.Server{Handler: server.Chain(srv, mw...)}
 	go func() { _ = httpSrv.Serve(lis) }()
 
-	b.batch, b.srv, b.metrics, b.httpSrv = batch, srv, metrics, httpSrv
+	b.srv, b.metrics, b.httpSrv = srv, metrics, httpSrv
 	b.logs = []*joblog.Log{jl, rl}
 	b.alive = true
 	return nil

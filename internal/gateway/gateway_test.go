@@ -17,6 +17,7 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
+	"thermflow/internal/jobs"
 	"thermflow/internal/server"
 	"thermflow/internal/tenant"
 )
@@ -24,7 +25,7 @@ import (
 // newBackend starts a real thermflowd handler over a small engine.
 func newBackend(t *testing.T) (*httptest.Server, *server.Server) {
 	t.Helper()
-	srv := server.New(thermflow.NewBatch(2))
+	srv := server.New(jobs.NewEngine(2))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return ts, srv
@@ -543,7 +544,7 @@ func TestGatewayAggregates(t *testing.T) {
 // The gateway forwards Authorization to the backends, so one token
 // file can protect the whole deployment even with no edge auth.
 func TestGatewayAuthPassthrough(t *testing.T) {
-	b := server.New(thermflow.NewBatch(1))
+	b := server.New(jobs.NewEngine(1))
 	backend := httptest.NewServer(server.Chain(b, server.WithAuth(server.NewTokenSet("sekrit"))))
 	t.Cleanup(func() { backend.Close(); b.Close() })
 	_, ts := newTestGateway(t, Config{}, backend.URL)
@@ -577,6 +578,7 @@ func TestGatewayBatchValidation(t *testing.T) {
 		{`{"jobs":[{"kernel":"no-such-kernel"}]}`, http.StatusUnprocessableEntity},
 		{`{"jobs":[{"kernel":"dot","options":{"policy":"bogus"}}]}`, http.StatusUnprocessableEntity},
 		{`{"jobs":[{"kernel":"dot","options":{"solver":"sparse"}}]}`, http.StatusUnprocessableEntity},
+		{`{"jobs":[{"kind":"bogus","kernel":"dot"}]}`, http.StatusUnprocessableEntity},
 		{`{not json`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v2/batch", "application/json", strings.NewReader(tc.body))
@@ -605,7 +607,7 @@ func TestGatewayStampsTenantHeader(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := map[string]string{} // request path → tenant header at the backend
-	b := server.New(thermflow.NewBatch(1))
+	b := server.New(jobs.NewEngine(1))
 	t.Cleanup(b.Close)
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()

@@ -1,7 +1,7 @@
 // Package jobs layers an addressable, schedulable job lifecycle over
-// the batch compile engine: the substrate of thermflowd's v2 API and
-// of every later scaling layer (a sharding front server hashes the
-// same job IDs this registry files work under).
+// a backend's compile engine (engine.go): the substrate of thermflowd's
+// v2 API and of every later scaling layer (a sharding front server
+// hashes the same job IDs this registry files work under).
 //
 // A job is a thermflow.JobSpec — canonical source plus options — whose
 // content-derived ID is its address. Submit registers the job and
@@ -9,9 +9,11 @@
 // engine slots (higher Priority first), walks it through
 // queued → running → done/failed/expired, and retains terminal jobs
 // for a bounded time so clients can come back for the result. Because
-// the job ID, the batch cache key and the disk-tier entry name are the
-// same hash, a duplicate submit converges on the existing job and a
-// re-submit of an evicted one is answered from the result store.
+// the job ID, the engine's cache key and the disk-tier entry name are
+// the same hash, a duplicate submit converges on the existing job and a
+// re-submit of an evicted one is answered from the result store. A
+// finished job keeps only its rendered answer: the parsed program is
+// dropped and the compilation was never retained.
 //
 // Deadlines bound a job's total lifetime from submission, queue wait
 // included: a job still queued past its deadline expires without
@@ -46,6 +48,7 @@ import (
 	"time"
 
 	"thermflow"
+	"thermflow/api"
 	"thermflow/internal/joblog"
 	"thermflow/internal/trace"
 )
@@ -173,8 +176,10 @@ type Snapshot struct {
 	Submitted, Started, Finished time.Time
 	// Cached reports whether the result came from the result store.
 	Cached bool
-	// Compiled is the result (done only).
-	Compiled *thermflow.Compiled
+	// Result is the rendered answer (done only). It carries Cached
+	// false and may be shared with every other holder of the job ID —
+	// treat it as read-only and set Cached on a copy.
+	Result *api.CompileResponse
 	// Err is the failure (failed and expired only).
 	Err error
 }
@@ -200,8 +205,8 @@ type Limits struct {
 // registry mutex except done, which is closed exactly once under it.
 type job struct {
 	id       string
-	cjob     thermflow.CompileJob
-	specJSON []byte // the spec's wire form, kept for the WAL (nil when volatile)
+	cjob     thermflow.CompileJob // the parsed program; dropped once terminal
+	specJSON []byte               // the spec's wire form, kept for the WAL (nil when volatile)
 	priority int
 	deadline time.Time
 	seq      uint64 // submission order, the FIFO tiebreak
@@ -222,7 +227,7 @@ type job struct {
 	state                        State
 	submitted, started, finished time.Time
 	cached                       bool
-	compiled                     *thermflow.Compiled
+	result                       *api.CompileResponse
 	err                          error
 	done                         chan struct{}
 	qidx                         int // heap index; -1 once popped
@@ -234,7 +239,7 @@ func (j *job) effective() int { return j.priority + j.boost }
 
 // Registry is the job store and scheduler. Safe for concurrent use.
 type Registry struct {
-	b     *thermflow.Batch
+	e     *Engine
 	conc  int
 	ttl   time.Duration
 	max   int
@@ -271,9 +276,9 @@ type ownerCounts struct {
 }
 
 // New builds a registry over the given engine.
-func New(b *thermflow.Batch, cfg Config) *Registry {
+func New(e *Engine, cfg Config) *Registry {
 	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = b.Workers()
+		cfg.Concurrency = e.Workers()
 	}
 	if cfg.TTL <= 0 {
 		cfg.TTL = DefaultTTL
@@ -303,7 +308,7 @@ func New(b *thermflow.Batch, cfg Config) *Registry {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Registry{
-		b: b, conc: cfg.Concurrency, ttl: cfg.TTL, max: cfg.MaxJobs,
+		e: e, conc: cfg.Concurrency, ttl: cfg.TTL, max: cfg.MaxJobs,
 		clock: cfg.Clock, after: cfg.AfterFunc,
 		log: cfg.Log, snapEvery: cfg.SnapshotEvery,
 		trace:    cfg.Trace,
@@ -653,7 +658,7 @@ func (r *Registry) Do(ctx context.Context, spec thermflow.JobSpec) (Snapshot, er
 		ctx, cancel = context.WithDeadline(ctx, snap.Deadline)
 		defer cancel()
 	}
-	res := r.b.Compile(ctx, []thermflow.CompileJob{cjob})[0]
+	res := r.e.compile(ctx, []string{id}, []thermflow.CompileJob{cjob}, nil)[0]
 	snap.Finished = r.clock()
 	finishSnapshot(&snap, res)
 	return snap, nil
@@ -682,7 +687,7 @@ func (r *Registry) Stream(ctx context.Context, specs []thermflow.JobSpec, emit f
 		ids[i], cjobs[i] = id, cjob
 	}
 	start := r.clock()
-	r.b.CompileStream(ctx, cjobs, func(i int, res thermflow.CompileResult) {
+	r.e.compile(ctx, ids, cjobs, func(i int, res Result) {
 		snap := Snapshot{ID: ids[i], State: StateRunning,
 			Submitted: start, Started: start, Finished: r.clock()}
 		finishSnapshot(&snap, res)
@@ -692,12 +697,12 @@ func (r *Registry) Stream(ctx context.Context, specs []thermflow.JobSpec, emit f
 }
 
 // finishSnapshot folds a compile result into a terminal snapshot.
-func finishSnapshot(snap *Snapshot, res thermflow.CompileResult) {
+func finishSnapshot(snap *Snapshot, res Result) {
 	snap.Cached = res.Cached
 	switch {
 	case res.Err == nil:
 		snap.State = StateDone
-		snap.Compiled = res.Compiled
+		snap.Result = res.Response
 	case errors.Is(res.Err, context.DeadlineExceeded) && !snap.Deadline.IsZero():
 		snap.State = StateExpired
 		snap.Err = res.Err
@@ -736,15 +741,18 @@ func (r *Registry) dispatchLocked() {
 		r.ownerDeltaLocked(j.owner, -1, +1)
 		r.logStartLocked(j)
 		r.recordQueuedLocked(j, now, "dispatched")
-		go r.run(j)
+		go r.run(j, j.cjob)
 	}
 	for _, j := range parked {
 		heap.Push(&r.queue, j)
 	}
 }
 
-// run executes one dispatched job and finalizes it.
-func (r *Registry) run(j *job) {
+// run executes one dispatched job and finalizes it. The compile job is
+// handed over at dispatch, under the registry mutex: the record drops
+// it once terminal, which a lazy deadline expiry can make happen while
+// run is still starting.
+func (r *Registry) run(j *job, cjob thermflow.CompileJob) {
 	ctx := r.ctx
 	if !j.deadline.IsZero() {
 		var cancel context.CancelFunc
@@ -768,14 +776,14 @@ func (r *Registry) run(j *job) {
 			})
 		})
 	}
-	res := r.b.Compile(ctx, []thermflow.CompileJob{j.cjob})[0]
+	res := r.e.compile(ctx, []string{j.id}, []thermflow.CompileJob{cjob}, nil)[0]
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.running--
 	switch {
 	case res.Err == nil:
-		r.finishLocked(j, StateDone, res.Compiled, res.Cached, nil)
+		r.finishLocked(j, StateDone, res.Response, res.Cached, nil)
 	case errors.Is(res.Err, context.DeadlineExceeded) && !j.deadline.IsZero():
 		r.finishLocked(j, StateExpired, nil, false, res.Err)
 	default:
@@ -786,8 +794,9 @@ func (r *Registry) run(j *job) {
 
 // finishLocked moves a job to a terminal state exactly once. A job
 // still sitting in the queue (expired before dispatch) is removed from
-// the heap so it neither occupies a slot's pop nor lingers in memory.
-func (r *Registry) finishLocked(j *job, state State, c *thermflow.Compiled, cached bool, err error) {
+// the heap so it neither occupies a slot's pop nor lingers in memory,
+// and the parsed program is dropped: a terminal job never runs again.
+func (r *Registry) finishLocked(j *job, state State, resp *api.CompileResponse, cached bool, err error) {
 	if j.state.Terminal() {
 		return
 	}
@@ -802,7 +811,8 @@ func (r *Registry) finishLocked(j *job, state State, c *thermflow.Compiled, cach
 		heap.Remove(&r.queue, j.qidx)
 	}
 	j.state = state
-	j.compiled = c
+	j.cjob = thermflow.CompileJob{}
+	j.result = resp
 	j.cached = cached
 	j.err = err
 	j.finished = r.clock()
@@ -945,7 +955,7 @@ func snapshotOf(j *job) Snapshot {
 	return Snapshot{
 		ID: j.id, State: j.state, Priority: j.priority, Deadline: j.deadline,
 		Submitted: j.submitted, Started: j.started, Finished: j.finished,
-		Cached: j.cached, Compiled: j.compiled, Err: j.err,
+		Cached: j.cached, Result: j.result, Err: j.err,
 	}
 }
 

@@ -51,7 +51,7 @@ func slowSpec(t *testing.T, i int) thermflow.JobSpec {
 
 // The core lifecycle: submit → queued/running → done with a result.
 func TestSubmitPollDone(t *testing.T) {
-	r := New(thermflow.NewBatch(2), Config{})
+	r := New(NewEngine(2), Config{})
 	defer r.Close()
 	spec := kernelSpec(t, "dot", thermflow.Options{})
 
@@ -74,10 +74,10 @@ func TestSubmitPollDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone || final.Compiled == nil || final.Err != nil {
+	if final.State != StateDone || final.Result == nil || final.Err != nil {
 		t.Fatalf("final snapshot: %+v", final)
 	}
-	if final.Compiled.Thermal == nil || !final.Compiled.Thermal.Converged {
+	if !final.Result.Converged {
 		t.Error("result has no converged analysis")
 	}
 
@@ -86,7 +86,7 @@ func TestSubmitPollDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateDone || got.Compiled != final.Compiled {
+	if got.State != StateDone || got.Result != final.Result {
 		t.Errorf("Get after done: %+v", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestSubmitPollDone(t *testing.T) {
 // Duplicate submits of the same spec converge on one job and one
 // compilation; scheduling hints do not fork identity.
 func TestDuplicateSubmitSameJob(t *testing.T) {
-	b := thermflow.NewBatch(2)
+	b := NewEngine(2)
 	r := New(b, Config{})
 	defer r.Close()
 	spec := kernelSpec(t, "fir", thermflow.Options{Policy: thermflow.Chessboard})
@@ -124,14 +124,14 @@ func TestDuplicateSubmitSameJob(t *testing.T) {
 	if err != nil || created {
 		t.Fatalf("post-completion submit: %v created=%v", err, created)
 	}
-	if done.State != StateDone || done.Compiled == nil {
+	if done.State != StateDone || done.Result == nil {
 		t.Errorf("post-completion submit snapshot: %+v", done)
 	}
 }
 
 // A compile failure is a failed job, isolated and reported.
 func TestFailedJob(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{})
+	r := New(NewEngine(1), Config{})
 	defer r.Close()
 	// 64 registers cannot fit a 2x2 grid: allocation fails fast.
 	spec := kernelSpec(t, "dot", thermflow.Options{GridW: 2, GridH: 2})
@@ -143,7 +143,7 @@ func TestFailedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateFailed || final.Err == nil || final.Compiled != nil {
+	if final.State != StateFailed || final.Err == nil || final.Result != nil {
 		t.Fatalf("final snapshot: %+v", final)
 	}
 }
@@ -152,7 +152,7 @@ func TestFailedJob(t *testing.T) {
 // and every polling path observes it.
 func TestQueuedJobExpires(t *testing.T) {
 	clk := newFakeClock()
-	b := thermflow.NewBatch(1)
+	b := NewEngine(1)
 	r := New(b, Config{Concurrency: 1, Clock: clk.Now})
 	defer r.Close()
 
@@ -200,7 +200,7 @@ func TestQueuedJobExpires(t *testing.T) {
 // running must not orphan their status entries — the registry keeps
 // every job addressable and they all complete.
 func TestCacheResetDoesNotOrphanJobs(t *testing.T) {
-	b := thermflow.NewBatch(1)
+	b := NewEngine(1)
 	r := New(b, Config{Concurrency: 1})
 	defer r.Close()
 
@@ -226,7 +226,7 @@ func TestCacheResetDoesNotOrphanJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.State != StateDone || snap.Compiled == nil {
+		if snap.State != StateDone || snap.Result == nil {
 			t.Fatalf("job %s after reset: %+v", id, snap)
 		}
 	}
@@ -234,7 +234,7 @@ func TestCacheResetDoesNotOrphanJobs(t *testing.T) {
 
 // Higher priority runs first when a slot frees.
 func TestPriorityOrdersQueue(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1})
+	r := New(NewEngine(1), Config{Concurrency: 1})
 	defer r.Close()
 
 	if _, _, err := r.Submit(slowSpec(t, 0)); err != nil {
@@ -273,7 +273,7 @@ func TestPriorityOrdersQueue(t *testing.T) {
 // capacity bound with only live jobs, Submit refuses.
 func TestRetentionAndCapacity(t *testing.T) {
 	clk := newFakeClock()
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, TTL: time.Minute, MaxJobs: 2, Clock: clk.Now})
+	r := New(NewEngine(1), Config{Concurrency: 1, TTL: time.Minute, MaxJobs: 2, Clock: clk.Now})
 	defer r.Close()
 
 	quick := kernelSpec(t, "dot", thermflow.Options{})
@@ -316,7 +316,7 @@ func TestRetentionAndCapacity(t *testing.T) {
 // Do runs request-scoped without registering, shares registered jobs
 // by ID, and honours the caller's context.
 func TestDoSynchronous(t *testing.T) {
-	b := thermflow.NewBatch(2)
+	b := NewEngine(2)
 	r := New(b, Config{})
 	defer r.Close()
 
@@ -325,7 +325,7 @@ func TestDoSynchronous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.State != StateDone || snap.Compiled == nil {
+	if snap.State != StateDone || snap.Result == nil {
 		t.Fatalf("Do result: %+v", snap)
 	}
 	// Unregistered: the ID is not pollable...
@@ -360,7 +360,7 @@ func TestDoSynchronous(t *testing.T) {
 
 // Wait honours its context while the job keeps running.
 func TestWaitContextCancellation(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1})
+	r := New(NewEngine(1), Config{Concurrency: 1})
 	defer r.Close()
 	snap, _, err := r.Submit(slowSpec(t, 20))
 	if err != nil {
@@ -383,7 +383,7 @@ func TestWaitContextCancellation(t *testing.T) {
 }
 
 func TestUnknownJob(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{})
+	r := New(NewEngine(1), Config{})
 	defer r.Close()
 	if _, err := r.Get("deadbeef"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get unknown: %v", err)
@@ -396,7 +396,7 @@ func TestUnknownJob(t *testing.T) {
 // Stream emits one terminal snapshot per spec with stable IDs, sharing
 // cache entries with registered work.
 func TestStream(t *testing.T) {
-	b := thermflow.NewBatch(2)
+	b := NewEngine(2)
 	r := New(b, Config{})
 	defer r.Close()
 
@@ -461,7 +461,7 @@ func prioritySpec(t *testing.T, i, priority int) thermflow.JobSpec {
 // displaces a strictly lower-priority victim or is refused. Sheds are
 // counted and attributed by tenant class.
 func TestAdmissionWatermarkAndDisplacement(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, MaxQueue: 4, QueueWatermark: 2})
+	r := New(NewEngine(1), Config{Concurrency: 1, MaxQueue: 4, QueueWatermark: 2})
 	defer r.Close()
 
 	// One heavy job holds the single slot; everything after it queues.
@@ -535,7 +535,7 @@ func TestAdmissionWatermarkAndDisplacement(t *testing.T) {
 // fault, not the pool's — while other tenants keep entering, and no
 // pool shed is counted.
 func TestTenantQueueQuota(t *testing.T) {
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1})
+	r := New(NewEngine(1), Config{Concurrency: 1})
 	defer r.Close()
 
 	if _, _, err := r.Submit(heavySpec(t, 1)); err != nil {
@@ -561,7 +561,7 @@ func TestTenantQueueQuota(t *testing.T) {
 // later, lower-priority work from other tenants dispatches past it,
 // and the parked job starts once the owner's slot frees.
 func TestMaxRunningParksOwner(t *testing.T) {
-	r := New(thermflow.NewBatch(2), Config{Concurrency: 2})
+	r := New(NewEngine(2), Config{Concurrency: 2})
 	defer r.Close()
 
 	acme := Limits{Owner: "acme", MaxRunning: 1}
@@ -616,7 +616,7 @@ func TestMaxRunningParksOwner(t *testing.T) {
 // dispatches when the slot frees.
 func TestPriorityAgingUnstarvesTenant(t *testing.T) {
 	clk := newFakeClock()
-	r := New(thermflow.NewBatch(1), Config{
+	r := New(NewEngine(1), Config{
 		Concurrency: 1, MaxQueue: 2, QueueWatermark: 1,
 		AgeStep: 5, AgePeriod: time.Minute, Clock: clk.Now,
 	})

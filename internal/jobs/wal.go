@@ -19,7 +19,7 @@ import (
 // answered. Terminal results are NOT stored in the log — the compile
 // result already lives in the content-addressed result store under the
 // same ID, so replay re-materializes a done job by looking its own ID
-// up in the disk tier (Batch.Lookup). The log holds only what the
+// up in the disk tier (Engine.lookup). The log holds only what the
 // store cannot: the lifecycle (states, timestamps, error text) and the
 // job's spec, which is what lets a queued or crash-interrupted job
 // re-enter the priority heap and recompute.
@@ -285,11 +285,11 @@ func (r *Registry) materializeLocked(p persistedJob, now time.Time) replayOutcom
 
 	switch {
 	case p.State == StateDone:
-		if c, ok := r.b.Lookup(p.ID); ok {
+		if resp, ok := r.e.lookup(p.ID); ok {
 			// Served from the disk tier: the same bytes the pre-crash
 			// process answered with, marked cached like any store hit.
 			installTerminal(StateDone, true, nil)
-			j.compiled = c
+			j.result = resp
 			return replayRestored
 		}
 	case p.State.Terminal():

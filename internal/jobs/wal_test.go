@@ -3,9 +3,11 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"thermflow"
+	"thermflow/api"
 	"thermflow/internal/joblog"
 )
 
@@ -36,7 +39,7 @@ func newDurableDirs(t *testing.T) durableDirs {
 // incarnation left behind.
 func (d durableDirs) open(t *testing.T, cfg Config) (*Registry, *joblog.Log) {
 	t.Helper()
-	b, err := thermflow.NewBatchConfig(thermflow.BatchConfig{Workers: 2, CacheDir: d.cache})
+	b, err := OpenEngine(EngineConfig{Workers: 2, CacheDir: d.cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +107,8 @@ func TestReplayRestoresTerminalResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %s vanished across restart: %v", id, err)
 		}
-		if snap.State != StateDone || snap.Compiled == nil {
-			t.Fatalf("replayed job %s: state %s, compiled %v", id, snap.State, snap.Compiled != nil)
+		if snap.State != StateDone || snap.Result == nil {
+			t.Fatalf("replayed job %s: state %s, compiled %v", id, snap.State, snap.Result != nil)
 		}
 		if !snap.Cached {
 			t.Errorf("replayed job %s not marked cached (it was served from the store)", id)
@@ -113,6 +116,73 @@ func TestReplayRestoresTerminalResults(t *testing.T) {
 	}
 	if st := r2.Stats(); st.Terminal != len(ids) {
 		t.Fatalf("replayed stats %+v, want %d terminal", st, len(ids))
+	}
+}
+
+// The upgrade path: a done job whose disk entry a previous engine
+// version wrote (a binary compilation under the old header version)
+// must not be served. The entry reads as a corrupt miss, so replay
+// re-runs the job, and the answer is the same bytes a fresh compile
+// renders.
+func TestReplayRerunsDoneJobWithStaleEntry(t *testing.T) {
+	dirs := newDurableDirs(t)
+	r1, l1 := dirs.open(t, Config{})
+	spec := kernelSpec(t, "dot", thermflow.Options{Policy: thermflow.Chessboard})
+	snap, _, err := r1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap = waitDone(t, r1, snap.ID); snap.State != StateDone {
+		t.Fatalf("pre-crash job: %+v", snap)
+	}
+	crash(r1, l1)
+
+	// Rewrite the entry the way the previous format framed it: header
+	// version 1 around EncodeCompiled's bytes.
+	cjob, err := spec.CompileJob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cjob.Program.Compile(cjob.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := thermflow.EncodeCompiled(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(dirs.cache, "*.tfc"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("cache entries %v (%v), want exactly one", entries, err)
+	}
+	old := []byte("TFCS")
+	old = binary.LittleEndian.AppendUint32(old, 1)
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(payload))
+	old = binary.LittleEndian.AppendUint64(old, uint64(len(payload)))
+	if err := os.WriteFile(entries[0], append(old, payload...), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := OpenEngine(EngineConfig{Workers: 2, CacheDir: dirs.cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, rec, err := joblog.Open(dirs.log, joblog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := New(eng, Config{Log: l2, Recovery: &rec})
+	defer crash(r2, l2)
+	got := waitDone(t, r2, snap.ID)
+	if got.State != StateDone || got.Cached {
+		t.Fatalf("replayed job: state %s cached %v, want a fresh done run", got.State, got.Cached)
+	}
+	if st := eng.Stats(); st.Disk.Corrupt != 1 {
+		t.Errorf("disk corrupt count %d, want 1 (the stale entry)", st.Disk.Corrupt)
+	}
+	want, _ := json.Marshal(api.ResponseFor(c, false))
+	if gotJSON, _ := json.Marshal(got.Result); !bytes.Equal(gotJSON, want) {
+		t.Fatalf("re-run answer differs from a fresh compile:\n%s\nvs\n%s", gotJSON, want)
 	}
 }
 
@@ -200,7 +270,7 @@ func TestReplayPropertyRandomCrashPoints(t *testing.T) {
 					t.Fatalf("round %d: job %s replayed as %s, was %s pre-crash",
 						round, id, snap.State, pre.State)
 				}
-				if pre.State == StateDone && snap.Compiled == nil {
+				if pre.State == StateDone && snap.Result == nil {
 					t.Fatalf("round %d: done job %s replayed without a result", round, id)
 				}
 			}
@@ -270,7 +340,7 @@ func TestReplayTornTailDiscarded(t *testing.T) {
 // retained jobs, and Running excludes the zombie slot.
 func TestStatsExcludesLazilyExpiredRunningSlot(t *testing.T) {
 	clk := newFakeClock()
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, Clock: clk.Now})
+	r := New(NewEngine(1), Config{Concurrency: 1, Clock: clk.Now})
 	defer r.Close()
 	snap, _, err := r.Submit(slowSpec(t, 50))
 	if err != nil {
@@ -327,7 +397,7 @@ func TestDeadlineTimersThroughInjectedFactory(t *testing.T) {
 		fire = f
 		return &fakeTimer{}
 	}
-	r := New(thermflow.NewBatch(1), Config{Concurrency: 1, Clock: clk.Now, AfterFunc: after})
+	r := New(NewEngine(1), Config{Concurrency: 1, Clock: clk.Now, AfterFunc: after})
 	defer r.Close()
 
 	// Occupy the only slot so the deadlined job stays queued — there

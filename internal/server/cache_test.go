@@ -10,11 +10,12 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
+	"thermflow/internal/jobs"
 )
 
-func newDiskServer(t *testing.T, dir string, workers int) (*httptest.Server, *thermflow.Batch) {
+func newDiskServer(t *testing.T, dir string, workers int) (*httptest.Server, *jobs.Engine) {
 	t.Helper()
-	b, err := thermflow.NewBatchConfig(thermflow.BatchConfig{Workers: workers, CacheDir: dir})
+	b, err := jobs.OpenEngine(jobs.EngineConfig{Workers: workers, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"thermflow"
+	"thermflow/internal/jobs"
 )
 
 // newMetricsServer builds a full middleware-wrapped server with
@@ -15,7 +15,7 @@ import (
 func newMetricsServer(t *testing.T) (*httptest.Server, *Metrics) {
 	t.Helper()
 	m := NewMetrics()
-	s := NewConfig(thermflow.NewBatch(1), Config{Metrics: m})
+	s := NewConfig(jobs.NewEngine(1), Config{Metrics: m})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(Chain(s,
 		WithRequestID(),
@@ -109,8 +109,6 @@ func TestRouteOfBoundsCardinality(t *testing.T) {
 		"/v2/jobs/abc123/wait":  "/v2/jobs/{id}/wait",
 		"/v2/jobs/x/replica":    "/v2/jobs/{id}/replica",
 		"/v2/jobs/abc123/trace": "/v2/jobs/{id}/trace",
-		"/v2/regions/solve":     "/v2/regions/solve",
-		"/v2/regions/collect":   "/v2/regions/collect",
 		"/metrics":              "/metrics",
 		"/gateway/backends":     "/gateway/backends",
 		"/random/client/path":   "other",

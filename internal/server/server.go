@@ -40,6 +40,7 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/internal/batch"
+	"thermflow/internal/cachestore"
 	"thermflow/internal/jobs"
 	"thermflow/internal/trace"
 )
@@ -70,18 +71,17 @@ type Config struct {
 	Metrics *Metrics
 
 	// Trace is the recorder behind GET /v2/jobs/{id}/trace; the job
-	// registry records lifecycle spans into it and region solves record
-	// their steps (nil builds a private recorder — pass the daemon's so
-	// WithTracing shares it). Overrides Jobs.Trace.
+	// registry records lifecycle spans into it (nil builds a private
+	// recorder — pass the daemon's so WithTracing shares it). Overrides
+	// Jobs.Trace.
 	Trace *trace.Recorder
 }
 
 // Server is the thermflowd HTTP handler.
 type Server struct {
-	batch    *thermflow.Batch
+	engine   *jobs.Engine
 	jobs     *jobs.Registry
 	replicas *ReplicaStore
-	regions  *regionStore
 	metrics  *Metrics        // nil when unmetered
 	trace    *trace.Recorder // never nil; bounded in-memory timelines
 	mux      *http.ServeMux
@@ -89,10 +89,10 @@ type Server struct {
 
 // New builds the handler over the given compile engine with default
 // job-registry settings.
-func New(b *thermflow.Batch) *Server { return NewConfig(b, Config{}) }
+func New(e *jobs.Engine) *Server { return NewConfig(e, Config{}) }
 
 // NewConfig builds the handler over the given compile engine.
-func NewConfig(b *thermflow.Batch, cfg Config) *Server {
+func NewConfig(e *jobs.Engine, cfg Config) *Server {
 	replicas := cfg.Replicas
 	if replicas == nil {
 		replicas = NewReplicaStore(0, nil, nil)
@@ -101,8 +101,8 @@ func NewConfig(b *thermflow.Batch, cfg Config) *Server {
 		cfg.Trace = trace.NewRecorder("thermflowd", 0, 0)
 	}
 	cfg.Jobs.Trace = cfg.Trace
-	s := &Server{batch: b, jobs: jobs.New(b, cfg.Jobs), replicas: replicas,
-		regions: newRegionStore(0), metrics: cfg.Metrics, trace: cfg.Trace,
+	s := &Server{engine: e, jobs: jobs.New(e, cfg.Jobs), replicas: replicas,
+		metrics: cfg.Metrics, trace: cfg.Trace,
 		mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -115,18 +115,13 @@ func NewConfig(b *thermflow.Batch, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v2/jobs/{id}/trace", s.handleJobTrace)
 	s.mux.HandleFunc("PUT /v2/jobs/{id}/replica", s.handleReplicaPut)
 	s.mux.HandleFunc("POST /v2/batch", s.handleJobsBatch)
-	s.mux.HandleFunc("POST /v2/regions/solve", s.handleRegionSolve)
-	s.mux.HandleFunc("POST /v2/regions/collect", s.handleRegionCollect)
 	s.mux.HandleFunc("GET /v2/stats", s.handleStats)
 	if cfg.Metrics != nil {
-		cfg.Metrics.InstrumentEngine(b, s.jobs)
+		cfg.Metrics.InstrumentEngine(e, s.jobs)
 		s.mux.Handle("GET /metrics", cfg.Metrics.Handler())
 	}
 	return s
 }
-
-// Batch returns the underlying compile engine.
-func (s *Server) Batch() *thermflow.Batch { return s.batch }
 
 // Jobs returns the job registry.
 func (s *Server) Jobs() *jobs.Registry { return s.jobs }
@@ -179,12 +174,22 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // ResolveSpec canonicalizes a wire job request into a JobSpec — the
-// single point where kernel references and textual IR collapse onto
-// content identity. Failures are semantic (422): the JSON was
-// well-formed but names an unknown kernel or carries unparseable IR.
+// single point where kernel references, textual IR and job kinds
+// collapse onto content identity. Gateways and backends both call it,
+// so every process derives the same ID for one request. Failures are
+// semantic (422): the JSON was well-formed but names an unknown kind
+// or kernel or carries unparseable IR.
 func ResolveSpec(req api.JobRequest) (thermflow.JobSpec, error) {
 	var spec thermflow.JobSpec
 	var err error
+	switch req.Kind {
+	case "", "compile":
+	case "region":
+		// An alias: a region job is the {solver: "region"} job.
+		req.Options.Solver = thermflow.SolverRegion
+	default:
+		return spec, fmt.Errorf("unknown job kind %q", req.Kind)
+	}
 	switch {
 	case req.Kernel != "" && req.Program != "":
 		return spec, fmt.Errorf("exactly one of kernel or program must be set, got both")
@@ -258,7 +263,19 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, status, "%s", msg)
 		return
 	}
-	WriteJSON(w, http.StatusOK, api.ResponseFor(snap.Compiled, snap.Cached))
+	WriteJSON(w, http.StatusOK, served(snap))
+}
+
+// served is a done job's answer as this response reports it: every
+// holder of the job ID shares one stored answer with Cached false, so
+// the flag is set on a copy.
+func served(snap jobs.Snapshot) *api.CompileResponse {
+	if snap.Result == nil {
+		return nil
+	}
+	resp := *snap.Result
+	resp.Cached = snap.Cached
+	return &resp
 }
 
 // resolveBatch canonicalizes a batch's worth of requests before the
@@ -329,7 +346,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if snap.Err != nil {
 			_, item.Error = classify(snap.Err)
 		} else {
-			item.Result = api.ResponseFor(snap.Compiled, snap.Cached)
+			item.Result = served(snap)
 		}
 		return item
 	})
@@ -346,17 +363,17 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) cacheStats() api.CacheStats {
-	st := s.batch.Stats()
+	st := s.engine.Stats()
 	return api.CacheStats{
 		Hits: st.Hits, Misses: st.Misses, Panics: st.Panics,
-		Workers:     s.batch.Workers(),
-		Memory:      tierStats(st.Memory),
+		Workers:     s.engine.Workers(),
+		Memory:      tierStats(st.Mem),
 		Disk:        tierStats(st.Disk),
 		DiskEnabled: st.DiskEnabled,
 	}
 }
 
-func tierStats(t thermflow.CacheTierStats) api.TierStats {
+func tierStats(t cachestore.TierStats) api.TierStats {
 	return api.TierStats{
 		Hits: t.Hits, Misses: t.Misses, Puts: t.Puts,
 		Evictions: t.Evictions, Corrupt: t.Corrupt,
@@ -387,7 +404,7 @@ func (s *Server) handleCacheReset(w http.ResponseWriter, r *http.Request) {
 	// Resetting the result store invalidates results, not job
 	// identity: queued and running v2 jobs keep their registry entries
 	// and recompute (regression-tested at the jobs layer).
-	if err := s.batch.ResetCache(); err != nil {
+	if err := s.engine.ResetCache(); err != nil {
 		// The cache is cleared even on error; failing to delete a disk
 		// entry is an internal fault worth surfacing, since the caller
 		// asked for durable state to go away.

@@ -14,11 +14,12 @@ import (
 	"thermflow"
 	"thermflow/api"
 	"thermflow/client"
+	"thermflow/internal/jobs"
 )
 
-func newTestServer(t *testing.T, workers int) (*httptest.Server, *thermflow.Batch) {
+func newTestServer(t *testing.T, workers int) (*httptest.Server, *jobs.Engine) {
 	t.Helper()
-	b := thermflow.NewBatch(workers)
+	b := jobs.NewEngine(workers)
 	ts := httptest.NewServer(New(b))
 	t.Cleanup(ts.Close)
 	return ts, b
@@ -73,9 +74,16 @@ func TestUnknownNamesAre422(t *testing.T) {
 		}
 	}
 
-	// The v2 job surface decodes options the same way.
-	if status, body := post(t, ts.URL+"/v2/jobs", `{"kernel":"matmul","options":{"solver":"sparse"}}`); status != http.StatusUnprocessableEntity {
-		t.Errorf("v2 removed solver: status = %d, want 422 (body %s)", status, body)
+	// The v2 job surface decodes options and job kinds the same way,
+	// on submit and in a batch.
+	for _, tc := range []struct{ name, path, body string }{
+		{"v2 removed solver", "/v2/jobs", `{"kernel":"matmul","options":{"solver":"sparse"}}`},
+		{"v2 unknown kind", "/v2/jobs", `{"kind":"bogus","kernel":"matmul"}`},
+		{"v2 batch unknown kind", "/v2/batch", `{"jobs":[{"kind":"bogus","kernel":"matmul"}]}`},
+	} {
+		if status, body := post(t, ts.URL+tc.path, tc.body); status != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status = %d, want 422 (body %s)", tc.name, status, body)
+		}
 	}
 
 	// The same validation guards the batch endpoint, before the stream
@@ -249,7 +257,7 @@ func TestClientDisconnectCancelsRemainingJobs(t *testing.T) {
 
 	// Wait for the server side to drain, then check how much work ran.
 	deadline := time.Now().Add(10 * time.Second)
-	var prev thermflow.BatchStats
+	var prev jobs.EngineStats
 	stable := 0
 	for time.Now().Before(deadline) {
 		st := b.Stats()

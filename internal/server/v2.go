@@ -43,8 +43,8 @@ func jobStatus(snap jobs.Snapshot) api.JobStatus {
 	if snap.Err != nil {
 		_, st.Error = classify(snap.Err)
 	}
-	if snap.State == jobs.StateDone && snap.Compiled != nil {
-		st.Result = api.ResponseFor(snap.Compiled, snap.Cached)
+	if snap.State == jobs.StateDone {
+		st.Result = served(snap)
 	}
 	return st
 }
@@ -243,7 +243,7 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 		if snap.Err != nil {
 			_, item.Error = classify(snap.Err)
 		} else {
-			item.Result = api.ResponseFor(snap.Compiled, snap.Cached)
+			item.Result = served(snap)
 		}
 		return item
 	})

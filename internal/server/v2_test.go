@@ -35,7 +35,7 @@ func occupyingJob(i int) api.JobRequest {
 
 func newJobsServer(t *testing.T, workers int, cfg Config) (*httptest.Server, *Server) {
 	t.Helper()
-	srv := NewConfig(thermflow.NewBatch(workers), cfg)
+	srv := NewConfig(jobs.NewEngine(workers), cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return ts, srv
@@ -365,7 +365,7 @@ func TestV2SubmitTenantAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewConfig(thermflow.NewBatch(1),
+	srv := NewConfig(jobs.NewEngine(1),
 		Config{Jobs: jobs.Config{Concurrency: 1, MaxQueue: 2, QueueWatermark: 2}})
 	ts := httptest.NewServer(Chain(srv, WithQuotas(QuotaConfig{Quotas: quotas})))
 	t.Cleanup(func() { ts.Close(); srv.Close() })

@@ -78,8 +78,7 @@ func Analyze(fn *ir.Function, c Config) (*Result, error) {
 	return a.run()
 }
 
-// newAnalyzer validates the configuration and builds the solver state
-// shared by Analyze and NewRegionSession.
+// newAnalyzer validates the configuration and builds the solver state.
 func newAnalyzer(fn *ir.Function, c Config) (*analyzer, error) {
 	c = c.withDefaults()
 	if err := c.Tech.Validate(); err != nil {

@@ -2,9 +2,8 @@
 // plane: trace/span identities, phase-tagged spans with parent links,
 // and a bounded in-memory recorder of per-job timelines. It answers
 // the question the metrics plane cannot — "why was THIS job slow" —
-// by tying together the hops one job takes across the gateway, its
-// owning backend and (for region jobs) every backend that stepped a
-// region, under one trace ID.
+// by tying together the hops one job takes across the gateway and its
+// owning backend under one trace ID.
 //
 // Identity travels on the wire in the X-Thermflow-Trace header
 // (server.TraceHeader) as "traceID-spanID" — a traceparent-style pair
@@ -192,9 +191,9 @@ func (r *Recorder) Service() string {
 
 // Record appends spans to key's timeline, creating it (and LRU-
 // evicting the oldest timeline at the bound) on first touch. Spans
-// beyond the per-timeline cap are dropped and counted — a long exact-
-// mode region job keeps its earliest rounds and an honest drop count
-// rather than growing without bound. Spans with an empty Service are
+// beyond the per-timeline cap are dropped and counted — a timeline
+// keeps its earliest spans and an honest drop count rather than
+// growing without bound. Spans with an empty Service are
 // stamped with the recorder's.
 func (r *Recorder) Record(key string, spans ...Span) {
 	if r == nil || key == "" || len(spans) == 0 {

@@ -14,17 +14,26 @@ type SolverObserver func(solver string, seconds float64, converged bool)
 
 // solverObserverKey carries a SolverObserver through a compile's
 // context. Context transport (rather than package-global state) keeps
-// observers per-engine: several Batch instances in one process — the
+// observers per-engine: several engines in one process — the
 // in-process e2e cluster harness runs a whole pool of them — each see
 // only their own solver runs.
 type solverObserverKey struct{}
 
 // WithSolverObserver returns a context whose compiles report solver
-// timings to obs. Observation is metadata only: it never influences a
-// compile's result or its cache identity.
+// timings to obs and to any observer ctx already carries, so an
+// engine's metrics and a job's trace both see each run. Observation is
+// metadata only: it never influences a compile's result or its cache
+// identity.
 func WithSolverObserver(ctx context.Context, obs SolverObserver) context.Context {
 	if obs == nil {
 		return ctx
+	}
+	if prev := solverObserverFrom(ctx); prev != nil {
+		next := obs
+		obs = func(solver string, seconds float64, converged bool) {
+			next(solver, seconds, converged)
+			prev(solver, seconds, converged)
+		}
 	}
 	return context.WithValue(ctx, solverObserverKey{}, obs)
 }

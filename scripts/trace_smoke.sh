@@ -1,13 +1,13 @@
 #!/bin/sh
 # CI smoke test for the distributed tracing plane, over real processes:
-# two thermflowd backends behind one thermflowgate. A region job
-# submitted under a client-minted X-Thermflow-Trace header must come
-# back with one stitched timeline — gateway coordination and round
-# spans plus region-solve spans recorded by BOTH backends — all under
-# the client's trace ID (cross-process propagation, not per-process
-# traces). Then a short thermload sweep must report its slowest
-# requests' trace IDs, and the slowest v2 job must resolve through the
-# gateway to a timeline carrying that exact trace ID. Fast (<60 s).
+# two thermflowd backends behind one thermflowgate. A job submitted
+# under a client-minted X-Thermflow-Trace header must answer, through
+# the gateway, one timeline holding the gateway's http.server spans and
+# the owning backend's job.* spans, all under the client's trace ID
+# (cross-process propagation, not per-process traces). Then a short
+# thermload sweep must report its slowest requests' trace IDs, and the
+# slowest v2 job must resolve through the gateway to a timeline
+# carrying that exact trace ID. Fast (<60 s).
 set -eu
 
 port="${PORT:-18487}"
@@ -48,48 +48,48 @@ until curl -s "$gw/gateway/backends" 2>/dev/null | grep -q '"ring_backends": *2'
 done
 echo "smoke: gateway up, 2 backends on the ring"
 
-# --- 1. Region job under a client-minted trace -----------------------
+# --- 1. Job under a client-minted trace -----------------------------
 tid="00000000000000000000000000abcdef"
 span="0000000000abcdef"
 "$tmp/tdfa" -mega 8,2 -seed 7 -emit >"$tmp/mega.ir"
 src="$(awk 'BEGIN{ORS="\\n"} {gsub(/\\/, "\\\\"); gsub(/"/, "\\\""); print}' "$tmp/mega.ir")"
-# σ-slack mode: the fixpoint converges in a handful of rounds, so the
-# whole timeline (coordination span included) fits the per-job span
-# bound — exact mode's hundreds of rounds would overflow it, which is
-# its own documented behavior (earliest rounds + drop count), not what
-# this smoke asserts. 16 regions keep enough ring keys in play that
-# both backends own some.
-printf '{"kind":"region","program":"%s","options":{"solver":"region","regions":16,"region_delta":0.02}}' \
-	"$src" >"$tmp/region.json"
+printf '{"program":"%s"}' "$src" >"$tmp/job.json"
 
 curl -s -D "$tmp/headers.txt" -X POST -H 'Content-Type: application/json' \
 	-H "X-Thermflow-Trace: $tid-$span" \
-	--data-binary "@$tmp/region.json" "$gw/v2/jobs" >"$tmp/fanout.json"
-grep -q '"state": *"done"' "$tmp/fanout.json" ||
-	{ echo "smoke: region job did not finish done:"; cat "$tmp/fanout.json"; exit 1; }
+	--data-binary "@$tmp/job.json" "$gw/v2/jobs" >"$tmp/submit.json"
+id="$(sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p' "$tmp/submit.json" | head -1)"
+[ -n "$id" ] || { echo "smoke: submit answered no job id:"; cat "$tmp/submit.json"; exit 1; }
 
 # The response continues the client's trace with a fresh server span.
 grep -i "x-thermflow-trace: *$tid-" "$tmp/headers.txt" >/dev/null ||
 	{ echo "smoke: response did not continue the client trace:"; cat "$tmp/headers.txt"; exit 1; }
 grep -i "x-thermflow-trace: *$tid-$span" "$tmp/headers.txt" >/dev/null &&
 	{ echo "smoke: gateway echoed the client's span ID instead of minting its own"; exit 1; }
-echo "smoke: region job done, response continues client trace $tid"
 
-# --- 2. Stitched timeline spans both backends ------------------------
-id="$(sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p' "$tmp/fanout.json" | head -1)"
-[ -n "$id" ] || { echo "smoke: region job status has no id"; exit 1; }
+# Poll under the same trace, or the timeline gains a second one.
+curl -s -H "X-Thermflow-Trace: $tid-$span" "$gw/v2/jobs/$id/wait?timeout_ms=60000" >"$tmp/done.json"
+grep -q '"state": *"done"' "$tmp/done.json" ||
+	{ echo "smoke: job did not finish done:"; cat "$tmp/done.json"; exit 1; }
+echo "smoke: job done, response continues client trace $tid"
+
+# --- 2. One timeline: gateway edge spans and backend job spans -------
 curl -s "$gw/v2/jobs/$id/trace" >"$tmp/trace.json"
-
-grep -q "\"trace_id\": *\"$tid\"" "$tmp/trace.json" ||
-	{ echo "smoke: stitched timeline lost the client trace ID:"; cat "$tmp/trace.json"; exit 1; }
-for phase in region.coordinate region.round region.solve; do
-	grep -q "\"name\": *\"$phase\"" "$tmp/trace.json" ||
-		{ echo "smoke: timeline has no $phase span"; cat "$tmp/trace.json"; exit 1; }
-done
-nbackends="$(sed -n 's/.*"backend": *"\([^"]*\)".*/\1/p' "$tmp/trace.json" | sort -u | wc -l)"
-[ "$nbackends" -ge 2 ] ||
-	{ echo "smoke: region.solve spans from $nbackends distinct backends, want 2"; cat "$tmp/trace.json"; exit 1; }
-echo "smoke: one timeline, region.solve spans from $nbackends backends under trace $tid"
+python3 - "$tmp/trace.json" "$tid" <<'PY' || { cat "$tmp/trace.json"; exit 1; }
+import json, sys
+tr = json.load(open(sys.argv[1]))
+tid = sys.argv[2]
+spans = tr.get("spans") or []
+bad = [s["name"] for s in spans if s["trace_id"] != tid]
+if bad:
+    sys.exit("smoke: spans %s are not under trace %s" % (bad, tid))
+have = {(s.get("service"), s["name"]) for s in spans}
+for want in [("thermflowgate", "http.server"), ("thermflowd", "http.server"),
+             ("thermflowd", "job.queued"), ("thermflowd", "job.run")]:
+    if want not in have:
+        sys.exit("smoke: timeline has no %s %s span (got %s)" % (want[1], want[0], sorted(have)))
+PY
+echo "smoke: one timeline under trace $tid, gateway http.server and backend job.* spans"
 
 # --- 3. thermload reports slowest-request traces that resolve --------
 "$tmp/thermload" -target "$gw" -api v2 -unique \
@@ -110,4 +110,4 @@ grep -q '"name": *"job.run"' "$tmp/slow_trace.json" ||
 	{ echo "smoke: slowest job timeline has no job.run span:"; cat "$tmp/slow_trace.json"; exit 1; }
 echo "smoke: thermload slowest request (trace $ltid) resolves to job $ljid's timeline"
 
-echo "smoke: OK (cross-process trace propagation, stitched region timeline, slowest-trace resolution)"
+echo "smoke: OK (cross-process trace propagation, merged gateway/backend timeline, slowest-trace resolution)"
